@@ -84,6 +84,8 @@
 #include <iostream>
 #include <string>
 
+#include <unistd.h>
+
 #include "eval/backbone.h"
 #include "serve/registry.h"
 #include "serve/service.h"
@@ -423,19 +425,21 @@ int main(int argc, char** argv) {
       failpoint::CompiledIn() ? "true" : "false", timer.ElapsedSeconds());
 
   // SIGTERM/SIGINT drain the service instead of killing the process:
-  // the watcher trips RequestStop() and interrupts the blocked stdin
-  // read; Run flushes every in-flight response before returning.
+  // the watcher trips RequestStop() and EINTRs the stdin reader's
+  // blocked read(2); Run flushes every in-flight response before returning.
   goggles::Status status = Status::OK();
   int drain_signal = 0;
+  serve::FdReadBuf stdin_buf(STDIN_FILENO);
+  std::istream stdin_stream(&stdin_buf);
   if (registry != nullptr) {
     serve::Service service(registry, default_session, config);
     serve::GracefulShutdown drain([&service] { service.RequestStop(); });
-    status = service.Run(std::cin, std::cout);
+    status = service.Run(stdin_stream, std::cout);
     drain_signal = drain.signal_number();
   } else {
     serve::Service service(default_session, config);
     serve::GracefulShutdown drain([&service] { service.RequestStop(); });
-    status = service.Run(std::cin, std::cout);
+    status = service.Run(stdin_stream, std::cout);
     drain_signal = drain.signal_number();
   }
   if (drain_signal != 0) {

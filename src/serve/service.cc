@@ -34,6 +34,13 @@ JsonValue ErrorResponse(const Status& status) {
   return ErrorResponse(status.message(), status.code());
 }
 
+/// True for a line of JSON whitespace only — an empty line, a CRLF
+/// client's "\r", a line of spaces. Such lines are skipped, not answered,
+/// so they cannot shift the client's request/response pairing.
+bool IsBlankLine(const std::string& line) {
+  return line.find_first_not_of(" \t\r\n") == std::string::npos;
+}
+
 /// Decodes {"channels":C,"height":H,"width":W,"pixels":[...]}.
 Result<data::Image> ParseImage(const JsonValue& value) {
   if (!value.is_object()) {
@@ -505,8 +512,8 @@ std::string Service::HandleLine(const std::string& line) const {
 void Service::RequestStop() {
   stop_requested_.store(true);
   // Rouse a pipelined reader parked on admission control; a reader
-  // blocked inside std::getline is the caller's job to interrupt (the
-  // serve binary does it with a signal that EINTRs the read).
+  // blocked reading its input is the caller's job to interrupt (the
+  // serve binary does it with a signal that EINTRs its FdReadBuf).
   std::lock_guard<std::mutex> lock(run_wake_mu_);
   if (run_wake_cv_ != nullptr) run_wake_cv_->notify_all();
 }
@@ -602,7 +609,7 @@ Status Service::RunMonolithic(std::istream& in, std::ostream& out) {
   std::string line;
   uint64_t seq = 0;
   while (!stop_requested_.load() && std::getline(in, line)) {
-    if (line.empty()) continue;  // tolerate blank lines between requests
+    if (IsBlankLine(line)) continue;
     queue.Push(WorkItem{seq++, std::move(line), MonotonicMicros()});
     line.clear();
   }
@@ -964,7 +971,7 @@ Status Service::RunPipelined(std::istream& in, std::ostream& out) {
   std::string line;
   uint64_t seq = 0;
   while (!stop_requested_.load() && std::getline(in, line)) {
-    if (line.empty()) continue;  // tolerate blank lines between requests
+    if (IsBlankLine(line)) continue;
     {
       std::unique_lock<std::mutex> lock(done_mu);
       if (popt.reject_on_full) {

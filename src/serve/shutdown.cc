@@ -3,16 +3,32 @@
 #include <utility>
 
 #include <time.h>
+#include <unistd.h>
 
 namespace goggles::serve {
 
 namespace {
 
-// SIGUSR1 exists only to EINTR a read(2) parked under std::getline; the
-// handler body is irrelevant (and must stay async-signal-safe anyway).
+// SIGUSR1 exists only to EINTR the read(2) an FdReadBuf is parked in;
+// the handler body is irrelevant (and must stay async-signal-safe anyway).
 extern "C" void WakeReaderHandler(int) {}
 
 }  // namespace
+
+// Not std::ios::sync_with_stdio(false): libstdc++'s unsynced filebuf
+// retries read(2) on EINTR, so SIGUSR1 could no longer end the input.
+FdReadBuf::FdReadBuf(int fd)
+    : fd_(fd), buffer_(new char[kBufferBytes]) {
+  setg(buffer_.get(), buffer_.get(), buffer_.get());
+}
+
+FdReadBuf::int_type FdReadBuf::underflow() {
+  if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
+  const ssize_t n = ::read(fd_, buffer_.get(), kBufferBytes);
+  if (n <= 0) return traits_type::eof();  // EOF, or any error incl. EINTR
+  setg(buffer_.get(), buffer_.get(), buffer_.get() + n);
+  return traits_type::to_int_type(*gptr());
+}
 
 GracefulShutdown::GracefulShutdown(std::function<void()> on_signal)
     : on_signal_(std::move(on_signal)), main_thread_(pthread_self()) {
@@ -26,8 +42,8 @@ GracefulShutdown::GracefulShutdown(std::function<void()> on_signal)
   pthread_sigmask(SIG_BLOCK, &drain, &old_mask_);
 
   // No-op SIGUSR1 without SA_RESTART: delivery makes a blocking read
-  // fail with EINTR instead of transparently resuming, so the reader
-  // loop gets a chance to observe the stop flag.
+  // fail with EINTR instead of transparently resuming, so the FdReadBuf
+  // ends the input and the reader loop reaches the drain.
   struct sigaction wake {};
   wake.sa_handler = &WakeReaderHandler;
   sigemptyset(&wake.sa_mask);
@@ -60,8 +76,8 @@ void GracefulShutdown::WatchLoop() {
     int expected = 0;
     if (signal_number_.compare_exchange_strong(expected, sig)) {
       if (on_signal_) on_signal_();
-      // EINTR the main thread's blocking getline so the reader loop can
-      // re-check the stop flag and fall through to the drain path.
+      // EINTR the main thread's blocking read so its FdReadBuf ends the
+      // input and the reader loop falls through to the drain path.
       pthread_kill(main_thread_, SIGUSR1);
     }
     // Keep watching: a second signal is harmless (drain already under

@@ -1,20 +1,25 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <functional>
+#include <memory>
+#include <streambuf>
 #include <thread>
 
 #include <pthread.h>
 #include <signal.h>
 
 /// \file shutdown.h
-/// \brief Signal-driven graceful drain for the serve binary.
+/// \brief Signal-driven graceful drain for the serve binary, and the
+/// stdin reader whose EINTR rule makes the drain reachable.
 ///
-/// `goggles_serve` reads requests in a blocking std::getline loop, so a
-/// bare SIGTERM would either kill the process mid-response (default
-/// disposition) or never be seen (handler runs but the loop stays parked
-/// in read(2) if the libc restarts it). GracefulShutdown turns SIGTERM /
-/// SIGINT into a clean drain instead:
+/// `goggles_serve` reads requests through an FdReadBuf, which blocks in
+/// read(2) and ends input on EOF or any error, EINTR included. A bare
+/// SIGTERM would either kill the process mid-response (default
+/// disposition) or never be seen (handler runs but the reader stays
+/// parked in read(2) if the kernel restarts it). GracefulShutdown turns
+/// SIGTERM / SIGINT into a clean drain instead:
 ///
 ///  1. The constructor BLOCKS both signals in the calling thread before
 ///     Service::Run spawns its workers — every later thread inherits the
@@ -22,9 +27,9 @@
 ///  2. A watcher thread collects them with sigtimedwait in short slices.
 ///     On delivery it runs the caller's callback (typically
 ///     Service::RequestStop) and pokes the constructing thread with
-///     SIGUSR1, whose no-op handler is installed WITHOUT SA_RESTART so a
-///     read(2) parked under std::getline returns EINTR and the reader
-///     loop observes the stop flag.
+///     SIGUSR1, whose no-op handler is installed WITHOUT SA_RESTART so
+///     the FdReadBuf's parked read(2) fails with EINTR, input ends, and
+///     the reader loop falls through to the drain.
 ///  3. The destructor stops the watcher and restores the original mask
 ///     and SIGUSR1 disposition.
 ///
@@ -32,6 +37,29 @@
 /// Service exists and before Run is entered.
 
 namespace goggles::serve {
+
+/// \brief Buffered, read-only std::streambuf over a file descriptor.
+///
+/// Refills a fixed buffer with one read(2) per underflow, so
+/// std::getline scans whole chunks instead of paying a locked
+/// getc/ungetc per byte as synced std::cin does. Input ends at end of
+/// file or on ANY read error, EINTR included — the rule synced stdio
+/// follows too, and the one GracefulShutdown's SIGUSR1 relies on to
+/// unblock a reader parked on an open pipe. It does not own `fd`.
+class FdReadBuf : public std::streambuf {
+ public:
+  /// \brief Bytes requested per read(2).
+  static constexpr std::size_t kBufferBytes = 256 * 1024;
+
+  explicit FdReadBuf(int fd);
+
+ protected:
+  int_type underflow() override;
+
+ private:
+  int fd_;
+  std::unique_ptr<char[]> buffer_;
+};
 
 /// \brief RAII SIGTERM/SIGINT watcher: runs a drain callback on the
 /// first signal and interrupts the constructing thread's blocking read.

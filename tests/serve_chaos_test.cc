@@ -693,8 +693,10 @@ int ServeChildMain(const std::string& artifact_path) {
   serve::ServiceConfig config;
   serve::Service service(
       std::make_shared<const serve::Session>(std::move(*session)), config);
+  serve::FdReadBuf stdin_buf(STDIN_FILENO);
+  std::istream stdin_stream(&stdin_buf);
   serve::GracefulShutdown drain([&service] { service.RequestStop(); });
-  Status status = service.Run(std::cin, std::cout);
+  Status status = service.Run(stdin_stream, std::cout);
   if (!status.ok()) {
     std::fprintf(stderr, "child: run failed: %s\n",
                  status.ToString().c_str());

@@ -1,9 +1,11 @@
 #include "util/pipeline.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -401,10 +403,14 @@ class ServePipelineTest : public ::testing::Test {
     input << R"({"op":"label_batch","images":[)" << ImageToJson(PatternImage(47))
           << "," << ImageToJson(PatternImage(48)) << "]}\n";
     input << "this is not json\n";
+    // Blank lines (empty, a CRLF client's "\r", spaces) are skipped, not
+    // answered: kBlankLines below counts them.
+    input << "\n" << "\r\n" << "  \n";
     input << R"({"op":"launder"})" << "\n";
     input << R"({"op":"label"})" << "\n";  // missing image
     return input.str();
   }
+  static constexpr int kBlankLines = 3;
 
   static std::string RunWith(const serve::ServiceConfig& config) {
     serve::Service service(*session_, config);
@@ -427,6 +433,12 @@ TEST_F(ServePipelineTest, PipelinedRunIsByteIdenticalToSerialAtAnyShape) {
   serial.num_workers = 1;
   const std::string expected = RunWith(serial);
   ASSERT_FALSE(expected.empty());
+  const std::string requests = RequestStream();
+  const auto count_lines = [](const std::string& text) {
+    return static_cast<int>(std::count(text.begin(), text.end(), '\n'));
+  };
+  EXPECT_EQ(count_lines(expected), count_lines(requests) - kBlankLines)
+      << "one response line per non-blank request line";
 
   // Config 1: default stage shape (1/2/1/1 threads, batch 8).
   serve::ServiceConfig narrow;
