@@ -3,8 +3,10 @@
 /// behind the paper's pipeline: GEMM/conv (backbone), prototype affinity
 /// scoring (§3.2), base-GMM and Bernoulli-ensemble EM (§4.2), the
 /// assignment solver for cluster mapping (§4.3), the theory DP (§4.4),
-/// HOG extraction and truncated SVD (baselines). Supports the §5.3
-/// running-time discussion (base models parallelize across slices).
+/// HOG extraction and truncated SVD (baselines), and the CRC-32 that
+/// checks every serving-artifact section on load and publish. Supports
+/// the §5.3 running-time discussion (base models parallelize across
+/// slices).
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +22,7 @@
 #include "tensor/gemm.h"
 #include "tensor/isa.h"
 #include "tensor/ops.h"
+#include "util/binary_io.h"
 #include "util/rng.h"
 
 namespace goggles {
@@ -227,6 +230,20 @@ void BM_KMeansFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KMeansFit)->Unit(benchmark::kMillisecond);
+
+// A 2 MiB buffer is the size of a pool-108 `.ggsa` artifact, whose
+// sections are checksummed on every registry miss and every publish.
+void BM_Crc32(benchmark::State& state) {
+  Rng rng(11);
+  std::vector<unsigned char> buffer(2 << 20);
+  for (auto& b : buffer) b = static_cast<unsigned char>(rng.Uniform() * 256);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(io::Crc32(buffer.data(), buffer.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(buffer.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace goggles

@@ -91,9 +91,7 @@
 #include "serve/service.h"
 #include "serve/session.h"
 #include "serve/shutdown.h"
-#include "tensor/isa.h"
 #include "util/env.h"
-#include "util/failpoint.h"
 #include "util/timer.h"
 
 namespace {
@@ -397,32 +395,11 @@ int main(int argc, char** argv) {
     config.coalesce.max_batch = config.num_workers;
   }
 
-  std::fprintf(
-      stderr,
-      "{\"ok\":true,\"ready\":true,\"artifact\":\"%s\","
-      "\"artifact_dir\":\"%s\",\"workers\":%d,\"pipeline\":%s,"
-      "\"pipeline_threads\":[%d,%d,%d,%d],\"pipeline_batch\":%d,"
-      "\"pipeline_batch_wait_us\":%lld,"
-      "\"pipeline_admission\":%d,\"pipeline_reject\":%s,\"coalesce\":%s,"
-      "\"coalesce_batch\":%d,\"coalesce_window_us\":%lld,"
-      "\"task_budget_bytes\":%llu,\"isa\":\"%s\","
-      "\"request_deadline_ms\":%lld,\"watchdog_ms\":%lld,"
-      "\"failpoints\":%s,\"startup_seconds\":%.2f}\n",
-      artifact_path.c_str(), artifact_dir.c_str(), config.num_workers,
-      config.pipeline.enabled ? "true" : "false",
-      config.pipeline.decode_threads, config.pipeline.extract_threads,
-      config.pipeline.infer_threads, config.pipeline.encode_threads,
-      config.pipeline.max_batch,
-      static_cast<long long>(config.pipeline.batch_wait_micros),
-      config.pipeline.admission_capacity,
-      config.pipeline.reject_on_full ? "true" : "false",
-      config.coalesce.enabled ? "true" : "false", config.coalesce.max_batch,
-      static_cast<long long>(config.coalesce.window_micros),
-      static_cast<unsigned long long>(registry_config.memory_budget_bytes),
-      goggles::IsaTierName(goggles::ActiveIsaTier()),
-      static_cast<long long>(config.request_deadline_micros / 1000),
-      static_cast<long long>(config.pipeline.watchdog_budget_micros / 1000),
-      failpoint::CompiledIn() ? "true" : "false", timer.ElapsedSeconds());
+  std::fprintf(stderr, "%s\n",
+               serve::ReadyLine(artifact_path, artifact_dir, config,
+                                registry_config.memory_budget_bytes,
+                                timer.ElapsedSeconds())
+                   .c_str());
 
   // SIGTERM/SIGINT drain the service instead of killing the process:
   // the watcher trips RequestStop() and EINTRs the stdin reader's

@@ -162,6 +162,42 @@ PipelineOptions PipelineOptionsFromEnv(PipelineOptions defaults) {
   return p;
 }
 
+std::string ReadyLine(const std::string& artifact,
+                      const std::string& artifact_dir,
+                      const ServiceConfig& config,
+                      uint64_t task_budget_bytes, double startup_seconds) {
+  const PipelineOptions& p = config.pipeline;
+  JsonValue threads = JsonValue::MakeArray();
+  for (int n : {p.decode_threads, p.extract_threads, p.infer_threads,
+                p.encode_threads}) {
+    threads.Append(JsonValue(n));
+  }
+  JsonValue line = JsonValue::MakeObject();
+  line.Set("ok", JsonValue(true));
+  line.Set("ready", JsonValue(true));
+  line.Set("artifact", JsonValue(artifact));
+  line.Set("artifact_dir", JsonValue(artifact_dir));
+  line.Set("workers", JsonValue(config.num_workers));
+  line.Set("pipeline", JsonValue(p.enabled));
+  line.Set("pipeline_threads", std::move(threads));
+  line.Set("pipeline_batch", JsonValue(p.max_batch));
+  line.Set("pipeline_batch_wait_us", JsonValue(p.batch_wait_micros));
+  line.Set("pipeline_admission", JsonValue(p.admission_capacity));
+  line.Set("pipeline_reject", JsonValue(p.reject_on_full));
+  line.Set("coalesce", JsonValue(config.coalesce.enabled));
+  line.Set("coalesce_batch", JsonValue(config.coalesce.max_batch));
+  line.Set("coalesce_window_us", JsonValue(config.coalesce.window_micros));
+  line.Set("task_budget_bytes",
+           JsonValue(static_cast<int64_t>(task_budget_bytes)));
+  line.Set("isa", JsonValue(IsaTierName(ActiveIsaTier())));
+  line.Set("request_deadline_ms",
+           JsonValue(config.request_deadline_micros / 1000));
+  line.Set("watchdog_ms", JsonValue(p.watchdog_budget_micros / 1000));
+  line.Set("failpoints", JsonValue(failpoint::CompiledIn()));
+  line.Set("startup_seconds", JsonValue(startup_seconds));
+  return line.Dump();
+}
+
 Service::Service(std::shared_ptr<const Session> session, ServiceConfig config)
     : session_(std::move(session)), config_(NormalizeConfig(config)) {
   coalescer_ = std::make_unique<Coalescer>(config_.coalesce);

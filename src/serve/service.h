@@ -189,6 +189,17 @@ struct ServiceConfig {
   int64_t request_deadline_micros = 0;
 };
 
+/// \brief The startup "ready" line `goggles_serve` prints on stderr: one
+/// JSON object echoing the artifact path and directory, the service
+/// configuration `config` as given on the command line, the task memory
+/// budget, the active ISA tier, whether failpoints are compiled in, and
+/// the startup time. Strings go through JsonValue's escaping, so any
+/// path yields valid JSON.
+std::string ReadyLine(const std::string& artifact,
+                      const std::string& artifact_dir,
+                      const ServiceConfig& config,
+                      uint64_t task_budget_bytes, double startup_seconds);
+
 /// \brief Serves labeling requests — either against one fitted Session
 /// (the original single-artifact mode) or as a multi-task gateway over a
 /// SessionRegistry, with optional cross-request micro-batching.

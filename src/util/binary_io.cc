@@ -5,26 +5,51 @@
 namespace goggles::io {
 namespace {
 
-std::array<uint32_t, 256> BuildCrc32Table() {
-  std::array<uint32_t, 256> table{};
+/// Slice-by-8 tables: `t[0]` is the classic bytewise table over the
+/// reflected IEEE polynomial; `t[k][i]` is the CRC of byte `i` followed
+/// by `k` zero bytes, so one step folds eight input bytes with eight
+/// independent lookups.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+Crc32Tables BuildCrc32Tables() {
+  Crc32Tables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < t.size(); ++k) {
+      t[k][i] = t[0][t[k - 1][i] & 0xFFu] ^ (t[k - 1][i] >> 8);
+    }
+  }
+  return t;
+}
+
+/// Little-endian u32 from four bytes, independent of host byte order.
+inline uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
 }
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t n, uint32_t crc) {
-  static const std::array<uint32_t, 256> table = BuildCrc32Table();
+  static const Crc32Tables t = BuildCrc32Tables();
   const auto* bytes = static_cast<const unsigned char*>(data);
   uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    c = table[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; n -= 8, bytes += 8) {
+    const uint32_t lo = LoadLe32(bytes) ^ c;
+    const uint32_t hi = LoadLe32(bytes + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++bytes) {
+    c = t[0][(c ^ *bytes) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -16,7 +16,8 @@
 
 namespace goggles::io {
 
-/// \brief CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `n`
+/// \brief CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320, init and
+/// xor-out 0xFFFFFFFF; check value 0xCBF43926 for "123456789") of `n`
 /// bytes. Chain incremental updates by passing the previous return value
 /// as `crc` (starts at 0).
 uint32_t Crc32(const void* data, size_t n, uint32_t crc = 0);

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "crc32_oracle.h"
 #include "data/raster.h"
 #include "nn/vgg.h"
 #include "serve/session.h"
@@ -346,6 +347,22 @@ TEST_F(ServeArtifactTest, CorruptionMatrixFlippedCrcByte) {
     EXPECT_NE(loaded.status().message().find("CRC mismatch"),
               std::string::npos)
         << loaded.status();
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(ServeArtifactTest, StoredSectionCrcsMatchTheBytewiseReference) {
+  const std::string path = TempPath("stored_crc.ggsa");
+  ASSERT_TRUE(session_->Save(path).ok());
+  const std::string bytes = ReadFile(path);
+  // The on-disk checksum is pinned to the bytewise CRC-32 every artifact
+  // has been written with, so files stay readable across versions.
+  for (const SectionSpan& span : ParseSectionSpans(bytes)) {
+    uint32_t stored = 0;
+    std::memcpy(&stored, bytes.data() + span.crc, sizeof(stored));
+    EXPECT_EQ(stored, BytewiseCrc32(bytes.data() + span.payload,
+                                    span.end - span.payload))
+        << "section at byte " << span.header;
   }
   std::remove(path.c_str());
 }

@@ -78,6 +78,37 @@ TEST(JsonTest, DeepNestingHitsTheDepthGuard) {
   EXPECT_FALSE(JsonValue::Parse(deep).ok());
 }
 
+// ---- ReadyLine ------------------------------------------------------------
+
+TEST(ReadyLineTest, PathsWithQuotesAndBackslashesRoundTrip) {
+  const std::string artifact = "/tmp/a\"b\\c.ggsa";
+  const std::string artifact_dir = "/tmp/we\"ird\\dir";
+  serve::ServiceConfig config;
+  config.pipeline.decode_threads = 3;
+  const std::string line =
+      serve::ReadyLine(artifact, artifact_dir, config, 10u << 20, 1.5);
+  EXPECT_EQ(line.find('\n'), std::string::npos);
+  auto parsed = JsonValue::Parse(line);
+  ASSERT_TRUE(parsed.ok()) << parsed.status() << ": " << line;
+  EXPECT_EQ(parsed->Find("artifact")->str(), artifact);
+  EXPECT_EQ(parsed->Find("artifact_dir")->str(), artifact_dir);
+
+  // Same keys, in the order clients have always seen them.
+  std::vector<std::string> keys;
+  for (const auto& member : parsed->members()) keys.push_back(member.first);
+  const std::vector<std::string> expected = {
+      "ok", "ready", "artifact", "artifact_dir", "workers", "pipeline",
+      "pipeline_threads", "pipeline_batch", "pipeline_batch_wait_us",
+      "pipeline_admission", "pipeline_reject", "coalesce", "coalesce_batch",
+      "coalesce_window_us", "task_budget_bytes", "isa",
+      "request_deadline_ms", "watchdog_ms", "failpoints", "startup_seconds"};
+  EXPECT_EQ(keys, expected);
+  EXPECT_TRUE(parsed->Find("ready")->bool_value());
+  EXPECT_EQ(parsed->Find("pipeline_threads")->items()[0].number(), 3.0);
+  EXPECT_EQ(parsed->Find("task_budget_bytes")->number(), 10.0 * (1 << 20));
+  EXPECT_EQ(parsed->Find("startup_seconds")->number(), 1.5);
+}
+
 // ---- BoundedQueue ---------------------------------------------------------
 
 TEST(BoundedQueueTest, FifoAndCloseDrain) {
