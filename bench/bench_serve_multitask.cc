@@ -1,31 +1,21 @@
 /// \file bench_serve_multitask.cc
 /// \brief Multi-task gateway benchmark: many fitted tasks in one process
-/// behind the SessionRegistry, with and without cross-request
-/// micro-batching.
+/// behind the SessionRegistry.
 ///
 /// The workload emulates bursty production traffic: W submitter threads
 /// drain one shared request counter whose task assignment changes every
 /// `kBurst` requests (requests for one task arrive clustered, the way
 /// per-task client batches do). Each request resolves its task through
-/// the registry (warm LRU hit) and labels one image — either directly
-/// (`LabelOne`, the singleton path) or through the `Coalescer`, which
-/// gathers concurrent same-task requests into one
-/// `ScoreQueryRowsBatched`-backed `LabelBatch` call.
+/// the registry (warm LRU hit) and labels one image with `LabelOne`.
 ///
 /// Two request mixes per task count (1 vs 8 resident tasks):
-///  - `unique`: every in-flight image distinct — the coalescing win is
-///    batched extraction + fused small-GEMM convolutions + amortized
-///    per-call scoring/inference setup;
+///  - `unique`: every in-flight image distinct;
 ///  - `hot`: a Zipf-flavored mix (half the requests hit a few hot
-///    images, the way popular content hits a real gateway) — concurrent
-///    duplicates additionally dedup inside the batch window, which a
-///    singleton request path cannot do at all.
+///    images, the way popular content hits a real gateway).
 ///
-/// Reported per (tasks, mix): singleton img/s, coalesced img/s, their
-/// ratio (`tasksN_<mix>_coalesce_speedup`; the ISSUE's acceptance bar is
-/// >= 1.5x at batch-heavy load, i.e. the hot mix at 8 tasks), coalescer
-/// batch statistics, and warm registry Acquire() latency. Metrics land
-/// in BENCH_serve_multitask.json via the bench_common.h hook.
+/// Reported per task count: singleton img/s per mix, warm registry
+/// Acquire() latency, and resident bytes. Metrics land in
+/// BENCH_serve_multitask.json via the bench_common.h hook.
 
 #include <atomic>
 #include <filesystem>
@@ -34,7 +24,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "serve/coalescer.h"
 #include "serve/registry.h"
 #include "serve/session.h"
 #include "util/parallel.h"
@@ -51,9 +40,8 @@ namespace fs = std::filesystem;
 /// Deterministic per-request image pick. The `hot` mix sends half the
 /// requests to the currently-trending image (it stays hot for a window
 /// of requests, the way popular content hits a real gateway, so
-/// concurrent requests actually collide and the coalescer can dedup);
-/// `unique` cycles the whole query set so a batch window holds distinct
-/// images.
+/// concurrent requests actually collide); `unique` cycles the whole
+/// query set so concurrent requests hold distinct images.
 const data::Image& PickQuery(const std::vector<data::Image>& queries, int i,
                              bool hot_mix) {
   if (hot_mix && i % 2 == 0) {
@@ -63,11 +51,11 @@ const data::Image& PickQuery(const std::vector<data::Image>& queries, int i,
 }
 
 /// Drains `requests` labeling requests across `kThreads` submitters.
-/// Returns wall seconds. `coalescer` == nullptr is the singleton path.
+/// Returns wall seconds.
 double RunLoad(serve::SessionRegistry* registry,
                const std::vector<std::string>& tasks,
                const std::vector<data::Image>& queries, int requests,
-               bool hot_mix, serve::Coalescer* coalescer) {
+               bool hot_mix) {
   std::atomic<int> next{0};
   std::atomic<bool> failed{false};
   WallTimer timer;
@@ -75,8 +63,8 @@ double RunLoad(serve::SessionRegistry* registry,
   threads.reserve(kThreads);
   for (int w = 0; w < kThreads; ++w) {
     threads.emplace_back([&] {
-      // Like the service worker pool: per-request kernels stay on this
-      // thread once the submitters cover the cores.
+      // The submitters cover the cores, so per-request kernels stay on
+      // this thread.
       ScopedSerialKernels serial_kernels;
       while (true) {
         const int i = next.fetch_add(1);
@@ -88,14 +76,8 @@ double RunLoad(serve::SessionRegistry* registry,
           failed.store(true);
           session.status().Abort("Acquire");
         }
-        const data::Image& query = PickQuery(queries, i, hot_mix);
-        if (coalescer != nullptr) {
-          auto label = coalescer->Label(*session, query);
-          if (!label.ok()) failed.store(true);
-        } else {
-          auto label = (*session)->LabelOne(query);
-          if (!label.ok()) failed.store(true);
-        }
+        auto label = (*session)->LabelOne(PickQuery(queries, i, hot_mix));
+        if (!label.ok()) failed.store(true);
       }
     });
   }
@@ -108,8 +90,7 @@ double RunLoad(serve::SessionRegistry* registry,
 
 void RunExperiment() {
   BenchScale scale = GetBenchScale();
-  Banner("Serving — multi-task gateway + cross-request micro-batching",
-         scale);
+  Banner("Serving — multi-task gateway", scale);
   eval::RunnerContext ctx = MakeBenchContext();
 
   const int per_class = scale.name == "paper" ? 120 : 60;
@@ -145,15 +126,13 @@ void RunExperiment() {
       task.test.images.begin(),
       task.test.images.begin() + std::min<size_t>(32, task.test.images.size()));
 
-  AsciiTable table("Multi-task serving: singleton vs coalesced labeling");
-  table.SetHeader({"tasks", "mix", "singleton img/s", "coalesced img/s",
-                   "speedup", "batches", "mean batch", "deduped"});
+  AsciiTable table("Multi-task serving: singleton labeling");
+  table.SetHeader({"tasks", "mix", "singleton img/s"});
 
   RecordBenchMetric("pool_size", pool_size);
   RecordBenchMetric("threads", kThreads);
   RecordBenchMetric("requests", requests);
 
-  double hot_speedup_at_max_tasks = 0.0;
   for (int num_tasks : {1, kMaxTasks}) {
     serve::RegistryConfig registry_config;
     registry_config.artifact_dir = dir.string();
@@ -181,49 +160,16 @@ void RunExperiment() {
 
     for (const bool hot_mix : {false, true}) {
       const char* mix = hot_mix ? "hot" : "unique";
-      const double singleton_seconds = RunLoad(&registry, task_names, queries,
-                                               requests, hot_mix, nullptr);
+      const double singleton_seconds =
+          RunLoad(&registry, task_names, queries, requests, hot_mix);
       const double singleton_rate =
           static_cast<double>(requests) / std::max(singleton_seconds, 1e-9);
 
-      serve::CoalescerConfig coalesce;
-      coalesce.enabled = true;
-      // The service clamps the batch to its worker count for the same
-      // reason: more in-flight requests than submitters cannot exist.
-      coalesce.max_batch = kThreads;
-      coalesce.window_micros = 2000;
-      serve::Coalescer coalescer(coalesce);
-      const double coalesced_seconds = RunLoad(
-          &registry, task_names, queries, requests, hot_mix, &coalescer);
-      const double coalesced_rate =
-          static_cast<double>(requests) / std::max(coalesced_seconds, 1e-9);
-      const double speedup = coalesced_rate / std::max(singleton_rate, 1e-9);
-
-      const serve::CoalescerStats stats = coalescer.stats();
-      const double mean_batch =
-          stats.batches == 0 ? 0.0
-                             : static_cast<double>(stats.requests) /
-                                   static_cast<double>(stats.batches);
       table.AddRow({StrFormat("%d", num_tasks), mix,
-                    StrFormat("%.1f", singleton_rate),
-                    StrFormat("%.1f", coalesced_rate),
-                    StrFormat("%.2fx", speedup),
-                    StrFormat("%llu", static_cast<unsigned long long>(
-                                          stats.batches)),
-                    StrFormat("%.1f", mean_batch),
-                    StrFormat("%llu", static_cast<unsigned long long>(
-                                          stats.deduped))});
-
-      const std::string prefix = StrFormat("tasks%d_%s_", num_tasks, mix);
-      RecordBenchMetric(prefix + "singleton_img_per_s", singleton_rate);
-      RecordBenchMetric(prefix + "coalesced_img_per_s", coalesced_rate);
-      RecordBenchMetric(prefix + "coalesce_speedup", speedup);
-      RecordBenchMetric(prefix + "coalesced_batches",
-                        static_cast<double>(stats.batches));
-      RecordBenchMetric(prefix + "mean_batch_size", mean_batch);
-      RecordBenchMetric(prefix + "deduped",
-                        static_cast<double>(stats.deduped));
-      if (num_tasks == kMaxTasks && hot_mix) hot_speedup_at_max_tasks = speedup;
+                    StrFormat("%.1f", singleton_rate)});
+      RecordBenchMetric(StrFormat("tasks%d_%s_singleton_img_per_s",
+                                  num_tasks, mix),
+                        singleton_rate);
     }
     RecordBenchMetric(
         StrFormat("tasks%d_resident_bytes", num_tasks),
@@ -231,15 +177,9 @@ void RunExperiment() {
     std::printf("  [%d task%s done]\n", num_tasks,
                 num_tasks == 1 ? "" : "s");
   }
-  RecordBenchMetric("coalesce_speedup_max_tasks_hot", hot_speedup_at_max_tasks);
 
   fs::remove_all(dir, ec);
   table.Print();
-  std::printf(
-      "Coalescing batches the extraction (fused small-spatial conv GEMMs),\n"
-      "amortizes per-call scoring/inference setup, and — on the hot mix —\n"
-      "dedups concurrent twins inside the window, which the singleton path\n"
-      "cannot see at all.\n");
 }
 
 }  // namespace

@@ -9,7 +9,7 @@ TRAJECTORY is a BENCH_<name>.json written by the Banner() hook in
 bench_common.h: one compact JSON object per line with "bench", "scale",
 "build_type" and a flat "metrics" map (the serve benches record
 throughput in img/s and latency percentiles in ms; higher-is-better
-metrics like `pipeline_speedup` are the ones worth gating).
+metrics like `pipeline_speedup_vs_serial` are the ones worth gating).
 
 Only records tagged "build_type":"release" participate — debug timings
 are not comparable (bench/run_all.sh refuses to produce them by
@@ -19,7 +19,8 @@ baseline.
 
 Two checks per --metric, both higher-is-better:
   --min X             absolute floor: fail when fresh < X. This is the
-                      primary gate (e.g. pipeline_speedup >= 1.3): a
+                      primary gate (e.g. pipeline_speedup_vs_serial
+                      >= 2.5): a
                       ratio of two numbers measured on the SAME machine
                       in the SAME run, so it carries no hardware delta.
   --max-regress F     relative: fail when fresh < baseline / F
@@ -70,17 +71,17 @@ def main():
     parser.add_argument("trajectory")
     parser.add_argument("--metric", action="append", default=[],
                         help="metric name to gate (repeatable; default "
-                             "pipeline_speedup)")
+                             "pipeline_speedup_vs_serial)")
     parser.add_argument("--min", action="append", type=float, default=[],
                         dest="mins",
                         help="absolute floor for the matching --metric "
-                             "(positional pairing; default 1.3 for the "
+                             "(positional pairing; default 2.5 for the "
                              "default metric)")
     parser.add_argument("--max-regress", type=float, default=3.0,
                         help="fail when fresh < baseline / FACTOR")
     args = parser.parse_args()
-    metrics = args.metric or ["pipeline_speedup"]
-    mins = args.mins or ([1.3] if not args.metric else [])
+    metrics = args.metric or ["pipeline_speedup_vs_serial"]
+    mins = args.mins or ([2.5] if not args.metric else [])
     if len(mins) not in (0, len(metrics)):
         print("error: give one --min per --metric, or none", file=sys.stderr)
         return 2

@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace goggles {
@@ -20,6 +21,26 @@ int64_t GetEnvIntOr(const std::string& name, int64_t fallback) {
   // Reject empty values, trailing garbage ("12abc"), and out-of-range
   // values rather than silently truncating the parse.
   if (end == v || *end != '\0' || errno == ERANGE) return fallback;
+  return static_cast<int64_t>(parsed);
+}
+
+int64_t EnvRangedInt(const std::string& name, int64_t fallback,
+                     int64_t min_value, int64_t max_value) {
+  const char* v = std::getenv(name.c_str());
+  if (v == nullptr || *v == '\0') return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(v, &end, 10);
+  if (errno != 0 || end == v || *end != '\0' || parsed < min_value ||
+      parsed > max_value) {
+    std::fprintf(stderr,
+                 "warning: %s='%s' is not an integer in [%lld, %lld]; "
+                 "using %lld\n",
+                 name.c_str(), v, static_cast<long long>(min_value),
+                 static_cast<long long>(max_value),
+                 static_cast<long long>(fallback));
+    return fallback;
+  }
   return static_cast<int64_t>(parsed);
 }
 

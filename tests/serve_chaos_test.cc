@@ -546,21 +546,17 @@ TEST_F(ServeChaosTest, WatchdogFlagsStalledStage) {
   EXPECT_GE(stats[0].stalls, 1u) << "40ms call vs 5ms budget must be flagged";
 }
 
-// ---- Scenario 10: per-request deadlines in both execution modes -----------
+// ---- Scenario 10: per-request deadlines -----------------------------------
 
-TEST_F(ServeChaosTest, ExpiredDeadlineAnswersDeadlineExceededInBothModes) {
-  for (const bool pipelined : {true, false}) {
-    serve::ServiceConfig config;
-    config.pipeline.enabled = pipelined;
-    config.request_deadline_micros = 1;  // everything is overdue on arrival
-    serve::Service service(*session_, config);
-    std::vector<std::string> responses =
-        RunGateway(service, {LabelRequestLine(PatternImage(44))});
-    ASSERT_EQ(responses.size(), 1u);
-    EXPECT_FALSE(IsOkResponse(responses[0]));
-    EXPECT_EQ(ErrorCodeOf(responses[0]), "deadline_exceeded")
-        << (pipelined ? "pipelined: " : "monolithic: ") << responses[0];
-  }
+TEST_F(ServeChaosTest, ExpiredDeadlineAnswersDeadlineExceeded) {
+  serve::ServiceConfig config;
+  config.request_deadline_micros = 1;  // everything is overdue on arrival
+  serve::Service service(*session_, config);
+  std::vector<std::string> responses =
+      RunGateway(service, {LabelRequestLine(PatternImage(44))});
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_FALSE(IsOkResponse(responses[0]));
+  EXPECT_EQ(ErrorCodeOf(responses[0]), "deadline_exceeded") << responses[0];
 }
 
 // ---- Scenario 11: admission overload sheds with `unavailable` -------------

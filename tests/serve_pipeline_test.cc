@@ -269,16 +269,15 @@ TEST(PipelineTest, StageWorkersRunUnderTheKernelBudget) {
 // ---- PipelineOptions env / normalization ----------------------------------
 
 TEST(PipelineOptionsTest, EnvOverlayUsesTheStrictParser) {
-  setenv("GOGGLES_PIPELINE", "0", 1);
   setenv("GOGGLES_PIPELINE_EXTRACT_THREADS", "7", 1);
   setenv("GOGGLES_PIPELINE_MAX_BATCH", "junk", 1);   // malformed
   setenv("GOGGLES_PIPELINE_QUEUE", "128trailing", 1);  // trailing garbage
   setenv("GOGGLES_PIPELINE_BATCH_WAIT", "2500", 1);
   setenv("GOGGLES_PIPELINE_ADMISSION", "9", 1);
   setenv("GOGGLES_PIPELINE_REJECT", "1", 1);
+  setenv("GOGGLES_PIPELINE_WATCHDOG_MS", "250", 1);
   serve::PipelineOptions defaults;
   serve::PipelineOptions opts = serve::PipelineOptionsFromEnv(defaults);
-  EXPECT_FALSE(opts.enabled);
   EXPECT_EQ(opts.extract_threads, 7);
   EXPECT_EQ(opts.max_batch, defaults.max_batch)
       << "malformed env value must fall back, not parse loosely";
@@ -287,36 +286,52 @@ TEST(PipelineOptionsTest, EnvOverlayUsesTheStrictParser) {
   EXPECT_EQ(opts.batch_wait_micros, 2500);
   EXPECT_EQ(opts.admission_capacity, 9);
   EXPECT_TRUE(opts.reject_on_full);
+  EXPECT_EQ(opts.watchdog_budget_micros, 250'000);
 
   // Malformed batch-wait falls back to the default like the others.
   setenv("GOGGLES_PIPELINE_BATCH_WAIT", "2.5ms", 1);
   serve::PipelineOptions opts2 = serve::PipelineOptionsFromEnv(defaults);
   EXPECT_EQ(opts2.batch_wait_micros, defaults.batch_wait_micros);
 
-  unsetenv("GOGGLES_PIPELINE");
+  // Values outside the matching flag's bounds fall back too: no int
+  // truncation (2^32 + 2 would become 2 threads — so the fallback here
+  // is 3), no value the flag refuses (--pipeline-extract caps at 256),
+  // and no signed overflow when milliseconds scale to microseconds.
+  serve::PipelineOptions three_extract = defaults;
+  three_extract.extract_threads = 3;
+  for (const char* threads : {"4294967298", "100000"}) {
+    setenv("GOGGLES_PIPELINE_EXTRACT_THREADS", threads, 1);
+    EXPECT_EQ(serve::PipelineOptionsFromEnv(three_extract).extract_threads, 3)
+        << threads;
+  }
+  setenv("GOGGLES_PIPELINE_WATCHDOG_MS", "9223372036854775807", 1);
+  EXPECT_EQ(serve::PipelineOptionsFromEnv(defaults).watchdog_budget_micros,
+            defaults.watchdog_budget_micros);
+
   unsetenv("GOGGLES_PIPELINE_EXTRACT_THREADS");
   unsetenv("GOGGLES_PIPELINE_MAX_BATCH");
   unsetenv("GOGGLES_PIPELINE_BATCH_WAIT");
   unsetenv("GOGGLES_PIPELINE_QUEUE");
   unsetenv("GOGGLES_PIPELINE_ADMISSION");
   unsetenv("GOGGLES_PIPELINE_REJECT");
+  unsetenv("GOGGLES_PIPELINE_WATCHDOG_MS");
 
   // With nothing set, the defaults pass through untouched.
   serve::PipelineOptions clean = serve::PipelineOptionsFromEnv(defaults);
-  EXPECT_EQ(clean.enabled, defaults.enabled);
   EXPECT_EQ(clean.extract_threads, defaults.extract_threads);
   EXPECT_EQ(clean.max_batch, defaults.max_batch);
+  EXPECT_EQ(clean.watchdog_budget_micros, defaults.watchdog_budget_micros);
 }
 
 TEST(PipelineOptionsTest, ServiceNormalizationClampsAndDefaults) {
+  EXPECT_EQ(serve::PipelineOptions().admission_capacity, 64);
   serve::ServiceConfig config;
-  config.queue_capacity = 32;
   config.pipeline.decode_threads = 0;
   config.pipeline.extract_threads = -4;
   config.pipeline.max_batch = 0;
   config.pipeline.batch_wait_micros = -500;
   config.pipeline.queue_capacity = -1;
-  config.pipeline.admission_capacity = 0;  // "use queue_capacity"
+  config.pipeline.admission_capacity = 0;
   serve::Service service(std::shared_ptr<const serve::Session>(), config);
   const serve::PipelineOptions& p = service.config().pipeline;
   EXPECT_EQ(p.decode_threads, 1);
@@ -324,7 +339,7 @@ TEST(PipelineOptionsTest, ServiceNormalizationClampsAndDefaults) {
   EXPECT_EQ(p.max_batch, 1);
   EXPECT_EQ(p.batch_wait_micros, 0) << "negative gather window clamps to 0";
   EXPECT_EQ(p.queue_capacity, 1);
-  EXPECT_EQ(p.admission_capacity, 32);
+  EXPECT_EQ(p.admission_capacity, 1);
 }
 
 // ---- Service: pipelined Run vs serial -------------------------------------
@@ -427,13 +442,20 @@ class ServePipelineTest : public ::testing::Test {
 std::shared_ptr<const serve::Session>* ServePipelineTest::session_ = nullptr;
 
 TEST_F(ServePipelineTest, PipelinedRunIsByteIdenticalToSerialAtAnyShape) {
-  // Reference: the monolithic path, one worker — strictly serial.
-  serve::ServiceConfig serial;
-  serial.pipeline.enabled = false;
-  serial.num_workers = 1;
-  const std::string expected = RunWith(serial);
-  ASSERT_FALSE(expected.empty());
+  // Reference: HandleLine on each non-blank request line, in order —
+  // strictly serial, no flowgraph.
   const std::string requests = RequestStream();
+  std::string expected;
+  {
+    serve::Service serial(*session_);
+    std::istringstream lines(requests);
+    std::string line;
+    while (std::getline(lines, line)) {
+      if (line.find_first_not_of(" \t\r\n") == std::string::npos) continue;
+      expected += serial.HandleLine(line) + "\n";
+    }
+  }
+  ASSERT_FALSE(expected.empty());
   const auto count_lines = [](const std::string& text) {
     return static_cast<int>(std::count(text.begin(), text.end(), '\n'));
   };
@@ -442,7 +464,6 @@ TEST_F(ServePipelineTest, PipelinedRunIsByteIdenticalToSerialAtAnyShape) {
 
   // Config 1: default stage shape (1/2/1/1 threads, batch 8).
   serve::ServiceConfig narrow;
-  ASSERT_TRUE(narrow.pipeline.enabled) << "pipeline must be the default";
 
   // Config 2: wide stages, small queues + batches — maximal reordering
   // pressure and intra-stage concurrency.
@@ -464,6 +485,44 @@ TEST_F(ServePipelineTest, PipelinedRunIsByteIdenticalToSerialAtAnyShape) {
       << "wide pipeline diverged from the serial path";
   EXPECT_EQ(RunWith(tight), expected)
       << "admission-throttled pipeline diverged from the serial path";
+}
+
+TEST_F(ServePipelineTest, ExtractGroupErrorsReachEveryMember) {
+  // An unfitted session fails BuildQueryRows. Four same-shape label
+  // requests, two of them duplicates, fill one extract batch (max_batch
+  // 4, one extract thread, a gather window long enough to collect them),
+  // so the error path runs for a deduped multi-member group: every
+  // member must get its own error line, in order, and Run must still
+  // finish cleanly.
+  serve::ServiceConfig config;
+  config.pipeline.extract_threads = 1;
+  config.pipeline.max_batch = 4;
+  config.pipeline.batch_wait_micros = 10'000'000;
+  serve::Service service(std::make_shared<const serve::Session>(), config);
+  const data::Image dup = PatternImage(80);
+  std::ostringstream input;
+  for (const data::Image& img : {PatternImage(81), dup, dup, PatternImage(82)}) {
+    input << R"({"op":"label","image":)" << ImageToJson(img) << "}\n";
+  }
+  std::istringstream in(input.str());
+  std::ostringstream out;
+  ASSERT_TRUE(service.Run(in, out).ok());
+
+  std::istringstream lines(out.str());
+  std::string line;
+  std::vector<std::string> codes;
+  while (std::getline(lines, line)) {
+    auto response = serve::JsonValue::Parse(line);
+    ASSERT_TRUE(response.ok()) << line;
+    EXPECT_FALSE(response->Find("ok")->bool_value()) << line;
+    const serve::JsonValue* code = response->Find("error_code");
+    ASSERT_TRUE(code != nullptr && code->is_string()) << line;
+    codes.push_back(code->str());
+  }
+  ASSERT_EQ(codes.size(), 4u) << "one response line per request";
+  for (const std::string& code : codes) EXPECT_EQ(code, codes[0]);
+  EXPECT_EQ(codes[0], "internal");
+  EXPECT_EQ(service.requests_served(), 4u);
 }
 
 TEST_F(ServePipelineTest, RejectOnFullAnswersCleanlyInsteadOfHanging) {

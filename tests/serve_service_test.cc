@@ -1,9 +1,7 @@
 #include "serve/service.h"
 
-#include <atomic>
 #include <filesystem>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,14 +10,13 @@
 #include "nn/vgg.h"
 #include "serve/json.h"
 
-/// The NDJSON front-end: JSON round-trips, bounded-queue semantics, the
-/// request loop end-to-end against a fitted session, and the multi-task
-/// gateway (task routing, registry ops, cross-request coalescing).
+/// The NDJSON front-end: JSON round-trips, the request loop end-to-end
+/// against a fitted session, and the multi-task gateway (task routing,
+/// registry ops).
 
 namespace goggles {
 namespace {
 
-using serve::BoundedQueue;
 using serve::JsonValue;
 
 // ---- JSON -----------------------------------------------------------------
@@ -93,71 +90,19 @@ TEST(ReadyLineTest, PathsWithQuotesAndBackslashesRoundTrip) {
   EXPECT_EQ(parsed->Find("artifact")->str(), artifact);
   EXPECT_EQ(parsed->Find("artifact_dir")->str(), artifact_dir);
 
-  // Same keys, in the order clients have always seen them.
+  // Same keys, in a stable order.
   std::vector<std::string> keys;
   for (const auto& member : parsed->members()) keys.push_back(member.first);
   const std::vector<std::string> expected = {
-      "ok", "ready", "artifact", "artifact_dir", "workers", "pipeline",
-      "pipeline_threads", "pipeline_batch", "pipeline_batch_wait_us",
-      "pipeline_admission", "pipeline_reject", "coalesce", "coalesce_batch",
-      "coalesce_window_us", "task_budget_bytes", "isa",
-      "request_deadline_ms", "watchdog_ms", "failpoints", "startup_seconds"};
+      "ok", "ready", "artifact", "artifact_dir", "pipeline_threads",
+      "pipeline_batch", "pipeline_batch_wait_us", "pipeline_admission",
+      "pipeline_reject", "task_budget_bytes", "isa", "request_deadline_ms",
+      "watchdog_ms", "failpoints", "startup_seconds"};
   EXPECT_EQ(keys, expected);
   EXPECT_TRUE(parsed->Find("ready")->bool_value());
   EXPECT_EQ(parsed->Find("pipeline_threads")->items()[0].number(), 3.0);
   EXPECT_EQ(parsed->Find("task_budget_bytes")->number(), 10.0 * (1 << 20));
   EXPECT_EQ(parsed->Find("startup_seconds")->number(), 1.5);
-}
-
-// ---- BoundedQueue ---------------------------------------------------------
-
-TEST(BoundedQueueTest, FifoAndCloseDrain) {
-  BoundedQueue<int> queue(4);
-  EXPECT_TRUE(queue.Push(1));
-  EXPECT_TRUE(queue.Push(2));
-  queue.Close();
-  EXPECT_FALSE(queue.Push(3));  // closed
-  EXPECT_EQ(queue.Pop(), std::optional<int>(1));
-  EXPECT_EQ(queue.Pop(), std::optional<int>(2));
-  EXPECT_EQ(queue.Pop(), std::nullopt);  // drained
-}
-
-TEST(BoundedQueueTest, PushBlocksUntilCapacityFrees) {
-  BoundedQueue<int> queue(1);
-  ASSERT_TRUE(queue.Push(1));
-  std::atomic<bool> second_pushed{false};
-  std::thread producer([&] {
-    queue.Push(2);  // blocks until the consumer pops
-    second_pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(second_pushed.load());
-  EXPECT_EQ(queue.Pop(), std::optional<int>(1));
-  producer.join();
-  EXPECT_TRUE(second_pushed.load());
-  EXPECT_EQ(queue.Pop(), std::optional<int>(2));
-}
-
-TEST(BoundedQueueTest, ManyProducersManyConsumers) {
-  BoundedQueue<int> queue(8);
-  constexpr int kPerProducer = 200;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 3; ++p) {
-    producers.emplace_back([&queue] {
-      for (int i = 0; i < kPerProducer; ++i) queue.Push(i);
-    });
-  }
-  std::atomic<int> consumed{0};
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 3; ++c) {
-    consumers.emplace_back([&] {
-      while (queue.Pop().has_value()) consumed.fetch_add(1);
-    });
-  }
-  for (auto& t : producers) t.join();
-  queue.Close();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(consumed.load(), 3 * kPerProducer);
 }
 
 // ---- Service --------------------------------------------------------------
@@ -288,8 +233,8 @@ TEST_F(ServeServiceTest, MalformedRequestsReturnErrorsNotCrashes) {
 
 TEST_F(ServeServiceTest, RunPreservesInputOrderAcrossWorkers) {
   serve::ServiceConfig config;
-  config.num_workers = 3;
-  config.queue_capacity = 2;  // force backpressure
+  config.pipeline.extract_threads = 3;
+  config.pipeline.admission_capacity = 2;  // force backpressure
   serve::Service service(*session_, config);
 
   std::ostringstream input;
@@ -330,51 +275,6 @@ TEST_F(ServeServiceTest, RunPreservesInputOrderAcrossWorkers) {
   }
   EXPECT_EQ(line_no, 8);
   EXPECT_EQ(service.requests_served(), 8u);
-}
-
-TEST_F(ServeServiceTest, RunWithCoalescingPreservesOrderAndResults) {
-  serve::ServiceConfig config;
-  config.num_workers = 4;
-  config.queue_capacity = 16;
-  config.coalesce.enabled = true;
-  config.coalesce.max_batch = 4;
-  config.coalesce.window_micros = 20000;
-  serve::Service service(*session_, config);
-
-  std::ostringstream input;
-  std::vector<data::Image> queries;
-  for (int i = 0; i < 10; ++i) {
-    queries.push_back(PatternImage(30 + i));
-    input << R"({"op":"label","image":)" << ImageToJson(queries.back())
-          << "}\n";
-  }
-  std::istringstream in(input.str());
-  std::ostringstream out;
-  ASSERT_TRUE(service.Run(in, out).ok());
-
-  // Coalesced or not, every response must be bit-identical to its
-  // singleton LabelOne and arrive in input order.
-  std::istringstream lines(out.str());
-  std::string line;
-  size_t idx = 0;
-  while (std::getline(lines, line)) {
-    auto response = JsonValue::Parse(line);
-    ASSERT_TRUE(response.ok()) << line;
-    ASSERT_TRUE(response->Find("ok")->bool_value()) << line;
-    ASSERT_LT(idx, queries.size());
-    auto direct = (*session_)->LabelOne(queries[idx]);
-    ASSERT_TRUE(direct.ok());
-    EXPECT_EQ(static_cast<int>(response->Find("label")->number()),
-              direct->hard);
-    const JsonValue* soft = response->Find("soft");
-    ASSERT_EQ(soft->items().size(), direct->soft.size());
-    for (size_t k = 0; k < direct->soft.size(); ++k) {
-      EXPECT_EQ(soft->items()[k].number(), direct->soft[k])
-          << "response " << idx << " not bit-identical at class " << k;
-    }
-    ++idx;
-  }
-  EXPECT_EQ(idx, queries.size());
 }
 
 TEST_F(ServeServiceTest, TaskRoutingIsRejectedWithoutARegistry) {
@@ -556,11 +456,8 @@ TEST_F(ServeGatewayTest, StatsForANamedTaskReportsItsShape) {
 
 TEST_F(ServeGatewayTest, RunRoutesAcrossTasksInOrder) {
   serve::ServiceConfig config;
-  config.num_workers = 3;
-  config.queue_capacity = 4;
-  config.coalesce.enabled = true;
-  config.coalesce.max_batch = 4;
-  config.coalesce.window_micros = 5000;
+  config.pipeline.admission_capacity = 4;
+  config.pipeline.max_batch = 4;
   serve::RegistryConfig registry_config;
   registry_config.artifact_dir = *dir_;
   auto registry = std::make_shared<serve::SessionRegistry>(*extractor_,
