@@ -116,30 +116,82 @@ void BM_CosineKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_CosineKernel)->Arg(8)->Arg(64)->Arg(512);
 
-/// Eq. 2 inner loop: one prototype against all positions of a filter map.
-void BM_PrototypeAffinityScore(benchmark::State& state) {
-  const int area = static_cast<int>(state.range(0));
-  const int channels = 32;
-  Rng rng(5);
-  std::vector<float> positions(static_cast<size_t>(area) * channels);
-  std::vector<float> proto(static_cast<size_t>(channels));
-  for (auto& v : positions) v = static_cast<float>(rng.Gaussian());
-  for (auto& v : proto) v = static_cast<float>(rng.Gaussian());
-  NormalizeF(proto.data(), channels);
-  for (int p = 0; p < area; ++p) {
-    NormalizeF(positions.data() + static_cast<size_t>(p) * channels, channels);
-  }
-  for (auto _ : state) {
-    float best = -1.0f;
-    for (int p = 0; p < area; ++p) {
-      best = std::max(best,
-                      DotF(positions.data() + static_cast<size_t>(p) * channels,
-                           proto.data(), channels));
+/// Eq. 2 scoring at the layer-0 shape of a ~288-image pool: 32 instances
+/// of 256 normalized 8-channel positions against 2040 prototypes.
+struct PrototypeScoreShape {
+  static constexpr int64_t kInstances = 32, kArea = 256, kChannels = 8,
+                           kPrototypes = 2040;
+  std::vector<std::vector<float>> positions;
+  std::vector<const float*> instances;
+  std::vector<float> prototypes;
+  std::vector<float> best;
+
+  PrototypeScoreShape()
+      : positions(kInstances),
+        prototypes(static_cast<size_t>(kPrototypes * kChannels)),
+        best(static_cast<size_t>(kInstances * kPrototypes)) {
+    Rng rng(5);
+    auto normalized_rows = [&rng](std::vector<float>* rows, int64_t count) {
+      rows->resize(static_cast<size_t>(count * kChannels));
+      for (auto& v : *rows) v = static_cast<float>(rng.Gaussian());
+      for (int64_t r = 0; r < count; ++r) {
+        NormalizeF(rows->data() + r * kChannels, kChannels);
+      }
+    };
+    for (auto& pos : positions) {
+      normalized_rows(&pos, kArea);
+      instances.push_back(pos.data());
     }
-    benchmark::DoNotOptimize(best);
+    normalized_rows(&prototypes, kPrototypes);
   }
+
+  int64_t Flops() const {
+    return 2 * kInstances * kArea * kPrototypes * kChannels;
+  }
+};
+
+/// The production scorer: the fused max-dot kernel, no score buffer.
+void BM_PrototypeAffinityScore(benchmark::State& state) {
+  PrototypeScoreShape shape;
+  using S = PrototypeScoreShape;
+  for (auto _ : state) {
+    SMaxDot(S::kInstances, S::kArea, S::kPrototypes, S::kChannels,
+            shape.instances.data(), shape.prototypes.data(), S::kChannels,
+            shape.best.data(), S::kPrototypes);
+    benchmark::DoNotOptimize(shape.best.data());
+  }
+  state.SetItemsProcessed(state.iterations() * shape.Flops());
 }
-BENCHMARK(BM_PrototypeAffinityScore)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_PrototypeAffinityScore)->Unit(benchmark::kMillisecond);
+
+/// For comparison: the same scores as one serial SGemm per instance into
+/// an area x prototypes buffer, then the max over positions.
+void BM_PrototypeAffinityScoreGemmThenMax(benchmark::State& state) {
+  PrototypeScoreShape shape;
+  using S = PrototypeScoreShape;
+  std::vector<float> scores(static_cast<size_t>(S::kArea * S::kPrototypes));
+  for (auto _ : state) {
+    for (int64_t i = 0; i < S::kInstances; ++i) {
+      SGemmWithThreads(false, true, S::kArea, S::kPrototypes, S::kChannels,
+                       1.0f, shape.instances[static_cast<size_t>(i)],
+                       S::kChannels, shape.prototypes.data(), S::kChannels,
+                       0.0f, scores.data(), S::kPrototypes,
+                       /*num_threads=*/1);
+      float* best = shape.best.data() + i * S::kPrototypes;
+      std::fill(best, best + S::kPrototypes, -1.0f);
+      for (int64_t p = 0; p < S::kArea; ++p) {
+        const float* srow = scores.data() + p * S::kPrototypes;
+        for (int64_t q = 0; q < S::kPrototypes; ++q) {
+          if (srow[q] > best[q]) best[q] = srow[q];
+        }
+      }
+    }
+    benchmark::DoNotOptimize(shape.best.data());
+  }
+  state.SetItemsProcessed(state.iterations() * shape.Flops());
+}
+BENCHMARK(BM_PrototypeAffinityScoreGemmThenMax)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DiagonalGmmFit(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -29,7 +29,7 @@
 /// bounds in-flight requests at the reader (block, or reject with a
 /// clean error response).
 /// Responses are bit-identical to calling HandleLine() on each request
-/// line in order, at any stage/thread/batch shape — the batched GEMM
+/// line in order, at any stage/thread/batch shape — the batched max-dot
 /// scorer accumulates each output row in a fixed order independent of
 /// batch shape, so grouped extraction row i equals the singleton
 /// extraction of image i, and inference is row-independent.

@@ -28,6 +28,12 @@ void SGemm(bool transpose_a, bool transpose_b, int64_t m, int64_t n, int64_t k,
                    beta, c, ldc, /*num_threads=*/0);
 }
 
+void SMaxDot(int64_t m, int64_t area, int64_t n, int64_t k,
+             const float* const* a, const float* b, int64_t ldb, float* best,
+             int64_t ldbest) {
+  ActiveKernels().smax_dot(m, area, n, k, a, b, ldb, best, ldbest);
+}
+
 void DGemmWithThreads(bool transpose_a, bool transpose_b, int64_t m, int64_t n,
                       int64_t k, double alpha, const double* a, int64_t lda,
                       const double* b, int64_t ldb, double beta, double* c,

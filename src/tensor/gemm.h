@@ -4,9 +4,10 @@
 #include <vector>
 
 /// \file gemm.h
-/// \brief Packed cache-blocked GEMM in single precision (conv, linear,
-/// batched prototype-affinity scoring) and double precision (the EM fit
-/// cores of the hierarchical generative model).
+/// \brief Packed cache-blocked GEMM in single precision (conv, linear)
+/// and double precision (the EM fit cores of the hierarchical generative
+/// model), plus the fused max-dot kernel behind batched prototype-affinity
+/// scoring.
 ///
 /// The implementation is a cache-blocked, register-tiled, panel-packing
 /// kernel (BLIS-style): op(A) and op(B) are repacked into contiguous
@@ -68,6 +69,30 @@ void SGemmWithThreads(bool transpose_a, bool transpose_b, int64_t m, int64_t n,
                       int64_t k, float alpha, const float* a, int64_t lda,
                       const float* b, int64_t ldb, float beta, float* c,
                       int64_t ldc, int num_threads);
+
+/// \brief Fused GEMM + max-over-rows ("max-dot"), the Eq. 2 prototype
+/// affinity kernel, in single precision.
+///
+/// For each of `m` instances, `a[i]` points at its `area` x `k` row-major
+/// position rows; `b` holds `n` prototype rows of length `k` (row stride
+/// `ldb`). Writes, for i < m and j < n,
+///
+///   best[i * ldbest + j] = max(-1, max over p < area of S_i[p, j]),
+///
+/// scanning p in ascending order from -1.0f, where S_i[p, j] is bit for
+/// bit the element SGemm(false, true, area, n, k, 1, a[i], k, b, ldb, 0,
+/// ...) would store — the same fixed chunked std::fma accumulation, so
+/// the result equals SGemmReference followed by the ascending
+/// `if (s > best) best = s` scan at every ISA tier, thread count and
+/// batch shape. Unlike that pair, no area x n score block is ever
+/// materialized: each register tile of S folds into a running max.
+///
+/// Serial: callers parallelize over instances. The prototype rows are
+/// repacked on every call (into thread-local scratch), so `b` needs no
+/// tier-specific layout.
+void SMaxDot(int64_t m, int64_t area, int64_t n, int64_t k,
+             const float* const* a, const float* b, int64_t ldb, float* best,
+             int64_t ldbest);
 
 /// \brief C = alpha * op(A) * op(B) + beta * C (double precision).
 ///

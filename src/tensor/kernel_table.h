@@ -26,6 +26,11 @@ struct TensorKernels {
                 int64_t k, float alpha, const float* a, int64_t lda,
                 const float* b, int64_t ldb, float beta, float* c,
                 int64_t ldc, int num_threads);
+  /// best[i*ldbest + j] = max(-1, max over p of S_i[p, j]), S_i = a[i]
+  /// (area x k, row-major) times the n x k rows of b, transposed. Serial.
+  void (*smax_dot)(int64_t m, int64_t area, int64_t n, int64_t k,
+                   const float* const* a, const float* b, int64_t ldb,
+                   float* best, int64_t ldbest);
   void (*dgemm)(bool transpose_a, bool transpose_b, int64_t m, int64_t n,
                 int64_t k, double alpha, const double* a, int64_t lda,
                 const double* b, int64_t ldb, double beta, double* c,

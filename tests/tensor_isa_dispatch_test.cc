@@ -208,6 +208,105 @@ TEST(TierBitIdentity, SGemmMatchesScalarReferenceAtEveryTier) {
   }
 }
 
+/// The max-dot oracle: SGemmReference per instance, then the ascending
+/// `if (s > best) best = s` scan from -1 over positions.
+std::vector<float> MaxDotReference(int64_t m, int64_t area, int64_t n,
+                                   int64_t k,
+                                   const std::vector<std::vector<float>>& a,
+                                   const std::vector<float>& b) {
+  std::vector<float> best(static_cast<size_t>(m * n), -1.0f);
+  std::vector<float> scores(static_cast<size_t>(area * n));
+  for (int64_t i = 0; i < m; ++i) {
+    SGemmReference(false, true, area, n, k, 1.0f,
+                   a[static_cast<size_t>(i)].data(), k, b.data(), k, 0.0f,
+                   scores.data(), n);
+    for (int64_t p = 0; p < area; ++p) {
+      for (int64_t j = 0; j < n; ++j) {
+        const float s = scores[static_cast<size_t>(p * n + j)];
+        float& bij = best[static_cast<size_t>(i * n + j)];
+        if (s > bij) bij = s;
+      }
+    }
+  }
+  return best;
+}
+
+/// Runs SMaxDot under every usable tier and memcmps against the oracle.
+void ExpectMaxDotMatchesOracle(int64_t m, int64_t area, int64_t n, int64_t k,
+                               const std::vector<std::vector<float>>& a,
+                               const std::vector<float>& b) {
+  const std::vector<float> want = MaxDotReference(m, area, n, k, a, b);
+  std::vector<const float*> rows;
+  for (const auto& instance : a) rows.push_back(instance.data());
+  for (const IsaTier tier : UsableTiers()) {
+    ASSERT_TRUE(ForceIsaTier(tier));
+    std::vector<float> got(want.size(), 42.0f);
+    SMaxDot(m, area, n, k, rows.data(), b.data(), k, got.data(), n);
+    ASSERT_EQ(0, std::memcmp(want.data(), got.data(),
+                             want.size() * sizeof(float)))
+        << "tier=" << IsaTierName(tier) << " m=" << m << " area=" << area
+        << " n=" << n << " k=" << k;
+  }
+}
+
+TEST(TierBitIdentity, MaxDotMatchesGemmThenMaxAtEveryTier) {
+  TierSweepGuard guard;
+  Rng rng(20240816);
+  // k = 300 crosses kGemmKChunk (two partials per score); area and n are
+  // not always multiples of any tier's MR / NR. Every pair of values
+  // meets, but the one corner with all three at their largest is left
+  // out: its ~1e9 libm fma calls (oracle plus the scalar and SSE2 tiers)
+  // would take ~10 s.
+  for (const int64_t k : {1, 8, 300}) {
+    for (const int64_t area : {1, 13, 256}) {
+      for (const int64_t n : {1, 37, 2040}) {
+        if (k == 300 && area == 256 && n == 2040) continue;
+        for (const int64_t m : {1, 5}) {
+          std::vector<std::vector<float>> a;
+          for (int64_t i = 0; i < m; ++i) {
+            a.push_back(RandomVec(static_cast<size_t>(area * k), &rng));
+          }
+          const std::vector<float> b =
+              RandomVec(static_cast<size_t>(n * k), &rng);
+          ExpectMaxDotMatchesOracle(m, area, n, k, a, b);
+        }
+      }
+    }
+  }
+}
+
+TEST(TierBitIdentity, MaxDotKeepsTheMinusOneFloor) {
+  // Unnormalized rows whose every dot is below -1: the max stays at the
+  // -1 the scan starts from.
+  TierSweepGuard guard;
+  const int64_t m = 2, area = 13, n = 37, k = 8;
+  const std::vector<std::vector<float>> a(
+      static_cast<size_t>(m), std::vector<float>(area * k, 1.0f));
+  const std::vector<float> b(static_cast<size_t>(n * k), -0.5f);
+  ExpectMaxDotMatchesOracle(m, area, n, k, a, b);
+  std::vector<const float*> rows = {a[0].data(), a[1].data()};
+  std::vector<float> got(static_cast<size_t>(m * n));
+  SMaxDot(m, area, n, k, rows.data(), b.data(), k, got.data(), n);
+  for (const float v : got) ASSERT_EQ(v, -1.0f);
+}
+
+TEST(TierBitIdentity, MaxDotOfZeroVectorsIsPositiveZero) {
+  // Zero rows score exactly 0 everywhere; the result must be +0, not -0
+  // (memcmp in the oracle sweep sees the sign bit).
+  TierSweepGuard guard;
+  const int64_t m = 1, area = 5, n = 20;
+  for (const int64_t k : {0, 8, 300}) {
+    const std::vector<std::vector<float>> a(
+        static_cast<size_t>(m), std::vector<float>(area * k, -0.0f));
+    const std::vector<float> b(static_cast<size_t>(n * k), 0.0f);
+    ExpectMaxDotMatchesOracle(m, area, n, k, a, b);
+    std::vector<const float*> rows = {a[0].data()};
+    std::vector<float> got(static_cast<size_t>(m * n));
+    SMaxDot(m, area, n, k, rows.data(), b.data(), k, got.data(), n);
+    for (const float v : got) ASSERT_FALSE(std::signbit(v)) << "k=" << k;
+  }
+}
+
 TEST(TierBitIdentity, DGemmMatchesScalarReferenceAtEveryTier) {
   TierSweepGuard guard;
   Rng rng(20240812);
